@@ -4,18 +4,20 @@ PR 3/4 made the replay loop columnar; the remaining cost is one Python
 call per page operation.  This module removes it for the steady state:
 an FTL scheme that opts in exposes an **epoch planner** which answers,
 from position ``start`` in the trace columns, *how many upcoming
-single-page requests it can service with no slow event* - no GC trigger,
-no mapping-cache miss or eviction, no mapping commit, no frontier-block
+requests it can service with no slow event* - no GC trigger, no
+mapping-cache miss or eviction, no mapping commit, no frontier-block
 exhaustion - and a **batch executor** that services that whole horizon
 in bulk (map tables via :meth:`~repro.perf.maptable.MapTable.set_many`,
 flash/FTL counters bulk-incremented, responses recorded through
-:meth:`~repro.sim.metrics.ResponseStats.record_many`).
+:meth:`~repro.sim.metrics.ResponseStats.record_many`).  Requests may
+span any number of pages: the planner admits one only when every page
+passes, and the executor walks its pages in order.
 
 :class:`BatchEngine` alternates vectorized epochs with the *exact*
 scalar per-request logic of ``Simulator._replay_fast`` at every epoch
 boundary: the request that would trigger the slow event runs scalar
-(GC, commit, eviction and multi-page expansion all happen there), then
-planning resumes.
+(GC, commit, eviction, checkpoints and frontier-straddling writes all
+happen there), then planning resumes.
 
 Bit-identity contract (enforced by the golden-stats gate and the
 differential tests in ``tests/test_batch_replay.py``):
@@ -24,10 +26,11 @@ differential tests in ``tests/test_batch_replay.py``):
   sequential, unlike pairwise ``np.add.reduce``) seeded with the running
   ``device_free_at`` / busy totals, so every float is produced by the
   same additions in the same order as the scalar loop;
-* bulk counter increments use ``n * latency_us`` only when the timing
-  model's latencies are integer-valued floats (all shipped models), in
-  which case repeated addition and multiplication agree exactly -
-  non-integer timings disable batching entirely;
+* bulk counter increments and multi-page request services use
+  ``n * latency_us`` only when the timing model's latencies are
+  integer-valued floats (all shipped models), in which case repeated
+  addition and multiplication agree exactly - non-integer timings
+  disable batching entirely;
 * the numpy kernels and the pure ``array``/``memoryview`` fallback are
   the same arithmetic, so results are identical with or without the
   ``[perf]`` extra installed.
@@ -98,17 +101,19 @@ def backend_name() -> str:
     return "fallback" if _np is None else "numpy"
 
 
-#: Horizons shorter than this replay scalar: below ~8 ops the epoch
-#: bookkeeping (array slicing, record_many dispatch) costs more than the
-#: per-op calls it saves.  Any positive value is bit-identical; this only
-#: moves the crossover.
+#: Epochs of fewer pages than this replay scalar: below ~8 page ops the
+#: epoch bookkeeping (array slicing, record_many dispatch) costs more
+#: than the per-op calls it saves.  Any positive value is bit-identical;
+#: this only moves the crossover.
 MIN_EPOCH = 8
 
-#: Epochs shorter than this use the pure ``array`` kernels even when
-#: numpy is installed: a numpy kernel invocation has ~tens of
-#: microseconds of fixed cost (array creation, ufunc dispatch, masking)
-#: that only amortises over long epochs, while the fallback loop's cost
-#: is linear from the first element.  Both backends are bit-identical by
+#: Epochs of fewer requests than this use the pure ``array`` timing
+#: kernels even when numpy is installed: a numpy kernel invocation has
+#: ~tens of microseconds of fixed cost (array creation, ufunc dispatch,
+#: masking) that only amortises over long service arrays, while the
+#: fallback loop's cost is linear from the first element.  The kernels
+#: hold one element per request whatever its length, so this counts
+#: requests, not pages.  Both backends are bit-identical by
 #: construction, so this threshold is purely a speed knob.
 NUMPY_MIN_EPOCH = 64
 
@@ -125,7 +130,7 @@ _DATA = PageKind.DATA
 # ----------------------------------------------------------------------
 def _timing_closed(
     ops_slice: memoryview,
-    services: Any,
+    services: array,
     responses: ResponseStats,
     device_free_at: float,
     busy: float,
@@ -159,16 +164,15 @@ def _timing_closed(
         _np.add.accumulate(bacc, out=bacc)
         return total, float(bacc[h])
     resp_arr = array("d", bytes(8 * h))
-    sv = memoryview(services)
     if busy == device_free_at:
         for k in range(h):
-            completion = device_free_at + sv[k]
+            completion = device_free_at + services[k]
             resp_arr[k] = completion - device_free_at
             device_free_at = completion
         busy = device_free_at
     else:
         for k in range(h):
-            service = sv[k]
+            service = services[k]
             completion = device_free_at + service
             resp_arr[k] = completion - device_free_at
             device_free_at = completion
@@ -179,9 +183,9 @@ def _timing_closed(
 
 def _timing_open(
     ops_slice: memoryview,
-    arrivals: Any,
+    arrivals: array,
     base: int,
-    services: Any,
+    services: array,
     responses: ResponseStats,
     device_free_at: float,
     busy: float,
@@ -198,10 +202,9 @@ def _timing_open(
     """
     h = len(services)
     resp_arr = array("d", bytes(8 * h))
-    sv = memoryview(services)
     for k in range(h):
         arrival = arrivals[base + k]
-        service = sv[k]
+        service = services[k]
         if arrival != arrival:  # NaN: closed-loop request
             arrival = device_free_at
         start = device_free_at if device_free_at > arrival else arrival
@@ -220,6 +223,17 @@ def _timing_open(
 
 # ----------------------------------------------------------------------
 # Per-scheme planners + executors
+#
+# ``plan_epoch(cols, start, limit)`` returns ``(requests, pages)``: how
+# many requests from ``start`` the executor may service, and how many
+# page operations they expand to.  A request is admitted only when every
+# one of its pages passes the per-page checks, so a multi-page request
+# is exactly its pages replayed as single-page requests in order.
+# ``execute_epoch(cols, start, requests)`` applies the per-page state
+# updates and returns one service time per request, in an
+# ``array('d')``: its pages' services summed from 0.0 in page order,
+# which is ``count * latency`` exactly because ``engine_for`` admits
+# only integer-valued timing.
 # ----------------------------------------------------------------------
 class _PagePlanner:
     """Ideal page-mapping FTL: the whole map is in RAM, so an epoch is
@@ -238,7 +252,8 @@ class _PagePlanner:
         self.idle_gaps_free = True  # base background_work is a no-op
 
     # flowlint: hot
-    def plan_epoch(self, cols: ColumnarTrace, start: int, limit: int) -> int:
+    def plan_epoch(self, cols: ColumnarTrace, start: int,
+                   limit: int) -> Tuple[int, int]:
         ftl = self.ftl
         ops = cols.ops
         lpns = cols.lpns
@@ -251,30 +266,37 @@ class _PagePlanner:
                 - self.flash.blocks[active]._write_ptr
         logical = self.logical_pages
         written: set = set()
+        pages = 0
         j = start
         while j < limit:
-            if npages[j] != 1:
-                break
             lpn = lpns[j]
-            if lpn < 0 or lpn >= logical:
+            count = npages[j]
+            stop = lpn + count
+            if lpn < 0 or stop > logical:
                 break  # scalar path raises the proper range error
             if ops[j]:
-                if room <= 0:
+                if room < count:
                     break  # active full/absent: _ensure_active may GC
-                room -= 1
-                if raw[lpn] < 0:
-                    written.add(lpn)
-            elif raw[lpn] < 0 and lpn not in written:
-                break  # unmapped read: rare; keep the epoch all-mapped
+                room -= count
+                written.update(range(lpn, stop))
+            else:
+                p = lpn
+                while p < stop and (raw[p] >= 0 or p in written):
+                    p += 1
+                if p < stop:
+                    break  # unmapped read: rare; keep the epoch all-mapped
+            pages += count
             j += 1
-        return j - start
+        return j - start, pages
 
     # flowlint: hot
-    def execute_epoch(self, cols: ColumnarTrace, start: int, h: int) -> Any:
+    def execute_epoch(self, cols: ColumnarTrace, start: int,
+                      h: int) -> array:
         ftl = self.ftl
         flash = self.flash
         ops = cols.ops
         lpns = cols.lpns
+        npages = cols.npages
         read_us = self.read_us
         program_us = self.program_us
         ppb = ftl._pages_per_block
@@ -296,33 +318,43 @@ class _PagePlanner:
         invalidate_page = flash.invalidate_page
         make = make_oob
         last: Dict[int, int] = {}  # lpn -> ppn of its newest epoch write
+        services = array("d", bytes(8 * h))
         n_writes = 0
+        n_reads = 0
         end = start + h
         j = start
+        k = 0
         while j < end:
+            lpn = lpns[j]
+            count = npages[j]
             if ops[j]:
-                lpn = lpns[j]
-                page = pages[write_ptr]
-                page.state = _VALID
-                page.data = None
-                page.oob = make((lpn, seq_val, _DATA, False))
-                seq_val += 1
-                ppn = base + write_ptr
-                write_ptr += 1
-                old = last.get(lpn, -1)
-                if old < 0:
-                    old = raw[lpn]
-                if old >= 0:
-                    old_block = blocks[old // ppb]
-                    old_page = old_block.pages[old % ppb]
-                    if old_page.state is _VALID:
-                        old_page.state = _INVALID
-                        old_block.note_invalidated()
-                    else:  # preserve redundant-invalidate accounting
-                        invalidate_page(old)
-                last[lpn] = ppn
-                n_writes += 1
+                for p in range(lpn, lpn + count):
+                    page = pages[write_ptr]
+                    page.state = _VALID
+                    page.data = None
+                    page.oob = make((p, seq_val, _DATA, False))
+                    seq_val += 1
+                    ppn = base + write_ptr
+                    write_ptr += 1
+                    old = last.get(p, -1)
+                    if old < 0:
+                        old = raw[p]
+                    if old >= 0:
+                        old_block = blocks[old // ppb]
+                        old_page = old_block.pages[old % ppb]
+                        if old_page.state is _VALID:
+                            old_page.state = _INVALID
+                            old_block.note_invalidated()
+                        else:  # preserve redundant-invalidate accounting
+                            invalidate_page(old)
+                    last[p] = ppn
+                n_writes += count
+                services[k] = count * program_us
+            else:
+                n_reads += count
+                services[k] = count * read_us
             j += 1
+            k += 1
         stats = ftl.stats
         fstats = flash.stats
         if n_writes:
@@ -331,22 +363,11 @@ class _PagePlanner:
             ftl._map.set_many(last.items())
             fstats.page_programs += n_writes
             fstats.program_us += n_writes * program_us
-        n_reads = h - n_writes
         if n_reads:
             fstats.page_reads += n_reads
             fstats.read_us += n_reads * read_us
         stats.host_writes += n_writes
         stats.host_reads += n_reads
-        if _np is not None and h >= NUMPY_MIN_EPOCH:
-            ops_np = _np.frombuffer(ops, dtype=_np.int8)[start:end]
-            return _np.where(ops_np != 0, program_us, read_us)
-        services = array("d", bytes(8 * h))
-        j = start
-        k = 0
-        while j < end:
-            services[k] = program_us if ops[j] else read_us
-            j += 1
-            k += 1
         return services
 
 
@@ -367,7 +388,8 @@ class _DftlPlanner:
         self.idle_gaps_free = True  # base background_work is a no-op
 
     # flowlint: hot
-    def plan_epoch(self, cols: ColumnarTrace, start: int, limit: int) -> int:
+    def plan_epoch(self, cols: ColumnarTrace, start: int,
+                   limit: int) -> Tuple[int, int]:
         ftl = self.ftl
         ops = cols.ops
         lpns = cols.lpns
@@ -379,28 +401,35 @@ class _DftlPlanner:
             room = ftl._pages_per_block \
                 - self.flash.blocks[active]._write_ptr
         logical = self.logical_pages
+        pages = 0
         j = start
         while j < limit:
-            if npages[j] != 1:
-                break
             lpn = lpns[j]
-            if lpn < 0 or lpn >= logical:
+            count = npages[j]
+            stop = lpn + count
+            if lpn < 0 or stop > logical:
                 break
-            if lpn not in cmt:
-                break  # CMT miss: _make_room may evict + flash fetch
             if ops[j]:
-                if room <= 0:
+                if room < count:
                     break  # frontier exhausted: allocation may GC
-                room -= 1
+                room -= count
+            p = lpn
+            while p < stop and p in cmt:
+                p += 1
+            if p < stop:
+                break  # CMT miss: _make_room may evict + flash fetch
+            pages += count
             j += 1
-        return j - start
+        return j - start, pages
 
     # flowlint: hot
-    def execute_epoch(self, cols: ColumnarTrace, start: int, h: int) -> Any:
+    def execute_epoch(self, cols: ColumnarTrace, start: int,
+                      h: int) -> array:
         ftl = self.ftl
         flash = self.flash
         ops = cols.ops
         lpns = cols.lpns
+        npages = cols.npages
         read_us = self.read_us
         program_us = self.program_us
         ppb = ftl._pages_per_block
@@ -422,37 +451,51 @@ class _DftlPlanner:
         seq_val = seq._next
         invalidate_page = flash.invalidate_page
         make = make_oob
-        none_reads: list = []  # epoch offsets of unmapped (ppn None) reads
+        services = array("d", bytes(8 * h))
         n_writes = 0
+        n_reads = 0
+        data_reads = 0  # reads of mapped pages: unmapped ones cost 0.0
         end = start + h
         j = start
+        k = 0
         while j < end:
             lpn = lpns[j]
-            entry = cmt[lpn]
+            count = npages[j]
             if ops[j]:
-                old = entry.ppn
-                page = pages[write_ptr]
-                page.state = _VALID
-                page.data = None
-                page.oob = make((lpn, seq_val, _DATA, False))
-                seq_val += 1
-                ppn = base + write_ptr
-                write_ptr += 1
-                if old is not None:
-                    old_block = blocks[old // ppb]
-                    old_page = old_block.pages[old % ppb]
-                    if old_page.state is _VALID:
-                        old_page.state = _INVALID
-                        old_block.note_invalidated()
-                    else:
-                        invalidate_page(old)
-                entry.ppn = ppn
-                entry.dirty = True
-                n_writes += 1
-            elif entry.ppn is None:
-                none_reads.append(j - start)
-            move_to_end(lpn)
+                for p in range(lpn, lpn + count):
+                    entry = cmt[p]
+                    old = entry.ppn
+                    page = pages[write_ptr]
+                    page.state = _VALID
+                    page.data = None
+                    page.oob = make((p, seq_val, _DATA, False))
+                    seq_val += 1
+                    ppn = base + write_ptr
+                    write_ptr += 1
+                    if old is not None:
+                        old_block = blocks[old // ppb]
+                        old_page = old_block.pages[old % ppb]
+                        if old_page.state is _VALID:
+                            old_page.state = _INVALID
+                            old_block.note_invalidated()
+                        else:
+                            invalidate_page(old)
+                    entry.ppn = ppn
+                    entry.dirty = True
+                    move_to_end(p)
+                n_writes += count
+                services[k] = count * program_us
+            else:
+                mapped = 0
+                for p in range(lpn, lpn + count):
+                    if cmt[p].ppn is not None:
+                        mapped += 1
+                    move_to_end(p)
+                n_reads += count
+                data_reads += mapped
+                services[k] = mapped * read_us
             j += 1
+            k += 1
         stats = ftl.stats
         fstats = flash.stats
         if n_writes:
@@ -460,29 +503,12 @@ class _DftlPlanner:
             seq._next = seq_val
             fstats.page_programs += n_writes
             fstats.program_us += n_writes * program_us
-        n_reads = h - n_writes
-        data_reads = n_reads - len(none_reads)
         if data_reads:
             fstats.page_reads += data_reads
             fstats.read_us += data_reads * read_us
         stats.host_writes += n_writes
         stats.host_reads += n_reads
-        if _np is not None and h >= NUMPY_MIN_EPOCH:
-            ops_np = _np.frombuffer(ops, dtype=_np.int8)[start:end]
-            services = _np.where(ops_np != 0, program_us, read_us)
-            if none_reads:
-                services[none_reads] = 0.0
-            return services
-        services_arr = array("d", bytes(8 * h))
-        j = start
-        k = 0
-        while j < end:
-            services_arr[k] = program_us if ops[j] else read_us
-            j += 1
-            k += 1
-        for k in none_reads:
-            services_arr[k] = 0.0
-        return services_arr
+        return services
 
 
 class _LazyPlanner:
@@ -490,12 +516,14 @@ class _LazyPlanner:
     periodic-checkpoint budget.  This is where the paper's structure pays
     off: writes touch RAM + the update frontier only, reads of deferred
     pages hit the UMT, and translation reads happen only on a miss - all
-    of which the planner can certify in advance.
+    of which the planner can certify in advance, page by page, for
+    requests of any length.
 
     GMT-resident reads stay batchable when the ablation cache is off
-    (a stateless GTD probe + at most two flash reads); with the cache
-    enabled, cached pages replay their recency via ``touch_many`` and a
-    cache *miss* ends the epoch (``put`` mutates the LRU)."""
+    (a stateless GTD probe + at most two flash reads), so with the cache
+    off a read request never ends an epoch; with the cache enabled,
+    cached pages replay their recency via ``touch_many`` and a cache
+    *miss* on any page ends the epoch (``put`` mutates the LRU)."""
 
     __slots__ = ("ftl", "flash", "read_us", "program_us", "logical_pages",
                  "entries_per_page", "idle_gaps_free")
@@ -513,7 +541,8 @@ class _LazyPlanner:
         self.idle_gaps_free = not ftl.config.background_gc
 
     # flowlint: hot
-    def plan_epoch(self, cols: ColumnarTrace, start: int, limit: int) -> int:
+    def plan_epoch(self, cols: ColumnarTrace, start: int,
+                   limit: int) -> Tuple[int, int]:
         ftl = self.ftl
         ops = cols.ops
         lpns = cols.lpns
@@ -537,45 +566,53 @@ class _LazyPlanner:
             budget = interval - ftl._writes_since_checkpoint - 1
             if budget < room:
                 room = budget
-            if room < 0:
-                room = 0
         logical = self.logical_pages
-        written: set = set()
+        written: set = set()  # only consulted when the cache is on
+        pages = 0
         j = start
         while j < limit:
-            if npages[j] != 1:
-                break
             lpn = lpns[j]
-            if lpn < 0 or lpn >= logical:
+            count = npages[j]
+            stop = lpn + count
+            if lpn < 0 or stop > logical:
                 break
             if ops[j]:
-                if room <= 0:
+                if room < count:
                     break  # frontier full / conversion / checkpoint due
-                room -= 1
-                written.add(lpn)
-            elif (lpn >= umt_len or umt_ppn[lpn] < 0) \
-                    and lpn not in written:
-                # GMT path: stateless unless the ablation cache would
-                # admit a new page.
-                if cache_on and (lpn // entries_per_page) not in cache_data:
+                room -= count
+                if cache_on:
+                    written.update(range(lpn, stop))
+            elif cache_on:
+                # A GMT-path page is stateless unless the ablation cache
+                # would admit a new translation page.
+                p = lpn
+                while p < stop and (
+                        (p < umt_len and umt_ppn[p] >= 0) or p in written
+                        or (p // entries_per_page) in cache_data):
+                    p += 1
+                if p < stop:
                     break
+            pages += count
             j += 1
-        return j - start
+        return j - start, pages
 
     # flowlint: hot
-    def execute_epoch(self, cols: ColumnarTrace, start: int, h: int) -> Any:
+    def execute_epoch(self, cols: ColumnarTrace, start: int,
+                      h: int) -> array:
         ftl = self.ftl
         flash = self.flash
         ops = cols.ops
         lpns = cols.lpns
+        npages = cols.npages
         read_us = self.read_us
         program_us = self.program_us
         ppb = ftl._pages_per_block
         blocks = flash.blocks
         umt = ftl._umt
-        ppn_at = umt.ppn_at
+        umt_ppn = umt._ppn
+        umt_len = len(umt_ppn)
         maps = ftl._maps
-        gtd_get = maps.gtd.get
+        gtd_raw = maps.gtd._entries.raw  # -1: GMT page never written
         cache_on = maps.cache_pages > 0
         cache_data = maps._cache._data
         entries_per_page = self.entries_per_page
@@ -598,6 +635,7 @@ class _LazyPlanner:
         touched_tvpns: list = []  # cache hits, in access order
         services = array("d", bytes(8 * h))
         n_writes = 0
+        n_reads = 0
         map_reads = 0
         flash_reads = 0
         end = start + h
@@ -605,57 +643,60 @@ class _LazyPlanner:
         k = 0
         while j < end:
             lpn = lpns[j]
+            count = npages[j]
             if ops[j]:
-                old = last.get(lpn, -1)
-                if old < 0:
-                    old = ppn_at(lpn)
-                page = pages[write_ptr]
-                page.state = _VALID
-                page.data = None
-                page.oob = make((lpn, seq_val, _DATA, False))
-                seq_val += 1
-                ppn = base + write_ptr
-                write_ptr += 1
-                if old >= 0:
-                    # Old copy in UBA/CBA: invalidate immediately (GMT
-                    # copies are invalidated lazily at commit, exactly as
-                    # the scalar path defers them).
-                    old_block = blocks[old // ppb]
-                    old_page = old_block.pages[old % ppb]
-                    if old_page.state is _VALID:
-                        old_page.state = _INVALID
-                        old_block.note_invalidated()
-                    else:
-                        invalidate_page(old)
-                last[lpn] = ppn
-                n_writes += 1
-                services[k] = program_us
-            elif lpn in last or ppn_at(lpn) >= 0:
-                services[k] = read_us  # UMT hit: one data read
-                flash_reads += 1
-            else:
-                tvpn = lpn // entries_per_page
+                for p in range(lpn, lpn + count):
+                    old = last.get(p, -1)
+                    if old < 0 and p < umt_len:
+                        old = umt_ppn[p]
+                    page = pages[write_ptr]
+                    page.state = _VALID
+                    page.data = None
+                    page.oob = make((p, seq_val, _DATA, False))
+                    seq_val += 1
+                    ppn = base + write_ptr
+                    write_ptr += 1
+                    if old >= 0:
+                        # Old copy in UBA/CBA: invalidate immediately (GMT
+                        # copies are invalidated lazily at commit, exactly
+                        # as the scalar path defers them).
+                        old_block = blocks[old // ppb]
+                        old_page = old_block.pages[old % ppb]
+                        if old_page.state is _VALID:
+                            old_page.state = _INVALID
+                            old_block.note_invalidated()
+                        else:
+                            invalidate_page(old)
+                    last[p] = ppn
+                n_writes += count
+                services[k] = count * program_us
+                j += 1
+                k += 1
+                continue
+            # Every page read costs read_us per flash read it issues: one
+            # data read on a UMT hit, a translation read plus a data read
+            # through the GMT, nothing for an unmapped page.
+            before = flash_reads
+            for p in range(lpn, lpn + count):
+                if p in last or (p < umt_len and umt_ppn[p] >= 0):
+                    flash_reads += 1  # UMT hit: one data read
+                    continue
+                tvpn = p // entries_per_page
                 if cache_on:
                     content = cache_data[tvpn]  # planner-certified hit
                     touched_tvpns.append(tvpn)
-                    if content[lpn % entries_per_page] is not None:
-                        services[k] = read_us
+                    if content[p % entries_per_page] is not None:
                         flash_reads += 1
-                    else:
-                        services[k] = 0.0  # unmapped read, cache answered
                 else:
-                    tppn = gtd_get(tvpn)
-                    if tppn is None:
-                        services[k] = 0.0  # unmapped read, no GMT page
-                    else:
+                    tppn = gtd_raw[tvpn]
+                    if tppn >= 0:
                         content = blocks[tppn // ppb].pages[tppn % ppb].data
                         map_reads += 1
                         flash_reads += 1
-                        if content[lpn % entries_per_page] is not None:
-                            services[k] = read_us + read_us
+                        if content[p % entries_per_page] is not None:
                             flash_reads += 1
-                        else:
-                            services[k] = read_us  # translation read only
+            n_reads += count
+            services[k] = (flash_reads - before) * read_us
             j += 1
             k += 1
         stats = ftl.stats
@@ -674,10 +715,8 @@ class _LazyPlanner:
             fstats.page_reads += flash_reads
             fstats.read_us += flash_reads * read_us
         stats.host_writes += n_writes
-        stats.host_reads += h - n_writes
+        stats.host_reads += n_reads
         stats.map_reads += map_reads
-        if _np is not None and h >= NUMPY_MIN_EPOCH:
-            return _np.frombuffer(services, dtype=_np.float64)
         return services
 
 
@@ -699,8 +738,10 @@ def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
     armed power-fault injector (program counting must see every op), a
     powered-off device, a multi-unit geometry (striped frontiers break
     the planners' single-frontier arithmetic), or a timing model with
-    non-integer-valued latencies (bulk ``n * latency`` would not be
-    bit-exact).
+    non-integer-valued latencies (bulk ``n * latency`` counters and the
+    ``count * latency`` service of a multi-page request would not be
+    bit-exact).  Request length plays no part: the planners take
+    requests of any number of pages.
     """
     planner_cls = PLANNERS.get(type(ftl))
     if planner_cls is None:
@@ -721,6 +762,18 @@ def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
             and float(timing.page_program_us).is_integer()):
         return None
     return BatchEngine(ftl, planner_cls(ftl))
+
+
+class _DiscardedResponses(ResponseStats):
+    """Response sink of :meth:`BatchEngine.warm`: records nothing."""
+
+    __slots__ = ()
+
+    def record(self, is_write: bool, response_us: float) -> None:
+        pass
+
+    def record_many(self, ops: Any, responses: Any) -> None:
+        pass
 
 
 class BatchEngine:
@@ -745,11 +798,11 @@ class BatchEngine:
     def replay(self, cols: ColumnarTrace, responses: ResponseStats) -> float:
         """The batched twin of ``Simulator._replay_fast``; returns busy.
 
-        Epochs of at least :data:`MIN_EPOCH` requests run through the
+        Epochs of at least :data:`MIN_EPOCH` pages run through the
         executor + timing kernels; everything else - including the
         boundary request that would trigger the slow event - runs the
         verbatim scalar per-request logic below, so GC, conversions,
-        evictions, checkpoints and multi-page expansion behave (and
+        evictions, checkpoints and frontier-straddling writes behave (and
         accumulate floats) exactly as in the scalar loop.
         """
         ftl = self.ftl
@@ -769,8 +822,8 @@ class BatchEngine:
         busy = 0.0
         i = 0
         while i < n:
-            h = plan(cols, i, n)
-            if h >= MIN_EPOCH:
+            h, pages = plan(cols, i, n)
+            if pages >= MIN_EPOCH:
                 services = execute(cols, i, h)
                 if arrivals is None:
                     device_free_at, busy = _timing_closed(
@@ -779,8 +832,8 @@ class BatchEngine:
                     )
                 else:
                     device_free_at, busy = _timing_open(
-                        ops_mv[i:i + h], arrivals, i, services, responses,
-                        device_free_at, busy,
+                        ops_mv[i:i + h], arrivals, i, services,
+                        responses, device_free_at, busy,
                     )
                 i += h
                 continue
@@ -825,42 +878,10 @@ class BatchEngine:
                 i += 1
         return busy
 
-    # flowlint: hot
     def warm(self, cols: ColumnarTrace) -> None:
-        """The batched twin of ``Simulator.warm_up``: no timing, no
-        response recording, no idle-gap housekeeping - just state."""
-        ftl = self.ftl
-        plan = self.planner.plan_epoch
-        execute = self.planner.execute_epoch
-        ftl_write = ftl.write
-        ftl_read = ftl.read
-        ops = cols.ops
-        lpns = cols.lpns
-        npages = cols.npages
-        n = len(ops)
-        i = 0
-        while i < n:
-            h = plan(cols, i, n)
-            if h >= MIN_EPOCH:
-                execute(cols, i, h)  # services discarded: untimed
-                i += h
-                continue
-            stop = i + h + 1
-            if stop > n:
-                stop = n
-            while i < stop:
-                op = ops[i]
-                lpn = lpns[i]
-                count = npages[i]
-                if op:
-                    if count == 1:
-                        ftl_write(lpn, None)
-                    else:
-                        for p in range(lpn, lpn + count):
-                            ftl_write(p, None)
-                elif count == 1:
-                    ftl_read(lpn)
-                else:
-                    for p in range(lpn, lpn + count):
-                        ftl_read(p)
-                i += 1
+        """The batched twin of ``Simulator.warm_up``: :meth:`replay` run
+        closed-loop (arrival times are ignored, as in the scalar warm-up)
+        with every response discarded - just state."""
+        closed = ColumnarTrace(cols.ops, cols.lpns, cols.npages,
+                               validate=False)
+        self.replay(closed, _DiscardedResponses())

@@ -7,8 +7,8 @@ distributions, RAM accounting - everything an experiment reports has to
 stay bit-identical, because the figures in EXPERIMENTS.md were produced
 by the pre-overhaul engine.
 
-This module defines the canonical *golden workload* (a small device, two
-deterministic traces, every scheme) and an :func:`engine_digest` that
+This module defines the canonical *golden workload* (a small device,
+three deterministic traces, every scheme) and an :func:`engine_digest` that
 flattens a :class:`~repro.sim.simulator.SimulationResult` into plain
 JSON-serialisable data.  ``tools/gen_golden_stats.py`` regenerates the
 committed snapshot (``tests/golden/engine_stats.json``) and
@@ -20,8 +20,12 @@ loaded digest is a bit-exact comparison.
 
 from __future__ import annotations
 
+import random
+from array import array
 from typing import Dict, Sequence
 
+from ..traces.columnar import ColumnarTrace
+from ..traces.model import Trace
 from ..traces.synthetic import hot_cold, uniform_random
 from .factory import SCHEMES
 from .runner import DeviceSpec, run_scheme
@@ -54,11 +58,43 @@ GOLDEN_DEVICE_4CH = DeviceSpec(
 STRIPED_SCHEMES = ("ideal", "DFTL", "LazyFTL")
 
 
+def multipage_random(
+    n_requests: int,
+    footprint_pages: int,
+    max_request_pages: int,
+    write_ratio: float,
+    seed: int,
+    name: str,
+) -> Trace:
+    """Random requests whose lengths are uniform in 1..max_request_pages.
+
+    The synthetic generators draw lengths from a tail that rarely passes
+    a few pages; this one spreads them evenly, so with a maximum above
+    the block size the trace holds writes that fill a frontier block
+    exactly, writes that straddle two blocks and requests longer than a
+    whole block.
+    """
+    rng = random.Random(seed)
+    ops = array("b")
+    lpns = array("q")
+    npages = array("q")
+    for _ in range(n_requests):
+        count = rng.randint(1, max_request_pages)
+        lpns.append(rng.randrange(footprint_pages - count + 1))
+        ops.append(1 if rng.random() < write_ratio else 0)
+        npages.append(count)
+    return Trace.from_columnar(
+        ColumnarTrace(ops, lpns, npages, name=name, validate=False)
+    )
+
+
 def golden_traces():
-    """The two deterministic traces every scheme replays for the digest.
+    """The three deterministic traces every scheme replays for the digest.
 
     Uniform random writes are the merge/GC torture case; the hot/cold mix
-    exercises read paths, skew handling and LazyFTL's cold-area logic.
+    exercises read paths, skew handling and LazyFTL's cold-area logic;
+    the multi-page mix sends requests of up to one and a half blocks
+    through the same paths.
     """
     pages = GOLDEN_DEVICE.logical_pages
     return [
@@ -68,6 +104,10 @@ def golden_traces():
         hot_cold(
             1200, pages, write_ratio=0.7, hot_fraction=0.2,
             hot_probability=0.8, seed=7, name="golden-hotcold",
+        ),
+        multipage_random(  # up to 24 pages: one and a half blocks
+            400, pages, max_request_pages=24, write_ratio=0.6, seed=17,
+            name="golden-multipage",
         ),
     ]
 

@@ -5,9 +5,13 @@ to the scalar replay loop.  These tests attack that promise from every
 side:
 
 * Hypothesis generates arbitrary mixed workloads (single- and
-  multi-page requests, closed-loop and timestamped arrivals) and
-  asserts digest equality scalar vs batched, per scheme, on both
-  kernel backends;
+  multi-page requests up to two and a half blocks long, closed-loop and
+  timestamped arrivals) and asserts digest equality scalar vs batched,
+  per scheme, on both kernel backends;
+* deterministic multi-page edge cases pin what each planner admits
+  (frontier exact fill and straddle, reads of pages written earlier in
+  the epoch, the checkpoint budget, a partial CMT hit), and a
+  Websearch-like trace must actually be vectorized;
 * the eligibility gate is probed directly: sanitized flash subclasses,
   attached tracers, armed fault injectors, powered-off devices and
   fractional timing models must all decline batching (and therefore
@@ -37,6 +41,8 @@ from repro.sim.metrics import LatencyDistribution, ResponseStats
 from repro.sim.runner import DeviceSpec, run_scheme
 from repro.sim.simulator import Simulator
 from repro.traces import IORequest, OpType, Trace
+from repro.traces.synthetic import warmup_fill
+from repro.traces.websearch import websearch
 
 #: Tiny device: frontiers roll over and GC fires within dozens of
 #: writes, so even short generated workloads cross epoch boundaries.
@@ -91,7 +97,9 @@ request_lists = st.lists(
     st.tuples(
         st.booleans(),
         st.integers(min_value=0, max_value=DEVICE.logical_pages - 1),
-        st.integers(min_value=1, max_value=4),
+        # Past pages_per_block (8): requests that fill, straddle and
+        # overrun whole frontier blocks.
+        st.integers(min_value=1, max_value=20),
     ),
     min_size=10,
     max_size=120,
@@ -146,6 +154,139 @@ class TestDifferentialFuzz:
             simulator.warm_up(trace)
             digests[mode] = engine_digest(simulator.run(probe))
         assert digests["batched"] == digests["scalar"]
+
+
+PLANNED_SCHEMES = ("ideal", "DFTL", "LazyFTL")
+
+
+def primed_ftl(scheme, **options):
+    """A fresh FTL on :data:`DEVICE` with lpns 0-8 mapped, 7 of its
+    frontier block's 8 pages free, and (DFTL) lpns 0-31 in the CMT."""
+    _, ftl, _ = standard_setup(
+        scheme, num_blocks=DEVICE.num_blocks,
+        pages_per_block=DEVICE.pages_per_block, page_size=DEVICE.page_size,
+        logical_fraction=DEVICE.logical_fraction, **options,
+    )
+    for lpn in range(32):
+        ftl.read(lpn)  # DFTL caches the (unmapped) entry; others no-op
+    for lpn in range(9):
+        ftl.write(lpn, None)  # fills block one, opens block two
+    return ftl
+
+
+def columns(*requests):
+    return make_trace(requests, 0.0).to_columnar()
+
+
+def plan(ftl, cols):
+    return batch.engine_for(ftl).planner.plan_epoch(cols, 0, len(cols.ops))
+
+
+@pytest.fixture()
+def vectorized_pages(monkeypatch):
+    """Spy on every planner's execute_epoch: a list of the page counts of
+    the epochs the engine vectorized."""
+    epochs = []
+    for planner_cls in batch.PLANNERS.values():
+        def spy(self, cols, start, h, _execute=planner_cls.execute_epoch):
+            epochs.append(sum(cols.npages[start:start + h]))
+            return _execute(self, cols, start, h)
+        monkeypatch.setattr(planner_cls, "execute_epoch", spy)
+    return epochs
+
+
+def assert_replays_match(scheme, requests, **options):
+    """Replay ``requests`` on two primed FTLs, scalar and batched: the
+    digests must be equal."""
+    digests = {}
+    for mode in ("scalar", "batched"):
+        simulator = Simulator(primed_ftl(scheme, **options),
+                              replay_mode=mode)
+        digests[mode] = engine_digest(
+            simulator.run(make_trace(requests, 0.0)))
+    assert digests["batched"] == digests["scalar"]
+
+
+#: An 8-page read of mapped lpns: lifts an epoch past MIN_EPOCH pages.
+LEAD_READ = (False, 0, 8)
+
+
+class TestMultiPageEpochs:
+    @pytest.mark.parametrize("scheme", PLANNED_SCHEMES)
+    def test_write_exactly_filling_the_frontier_is_admitted(self, scheme):
+        requests = [LEAD_READ, (True, 1, 7), (True, 8, 1)]
+        assert plan(primed_ftl(scheme), columns(*requests)) == (2, 15)
+        assert_replays_match(scheme, requests)
+
+    @pytest.mark.parametrize("scheme", PLANNED_SCHEMES)
+    def test_write_straddling_the_frontier_runs_scalar(
+        self, scheme, vectorized_pages
+    ):
+        requests = [LEAD_READ, (True, 1, 4), (True, 5, 4), LEAD_READ]
+        assert plan(primed_ftl(scheme), columns(*requests)) == (2, 12)
+        assert_replays_match(scheme, requests)
+        # Only the batched replay vectorizes: the 12-page prefix, then
+        # the straddling write runs scalar, then the closing read.
+        assert vectorized_pages == [12, 8]
+
+    @pytest.mark.parametrize("scheme", PLANNED_SCHEMES)
+    def test_read_of_pages_written_earlier_in_the_epoch(self, scheme):
+        requests = [LEAD_READ, (True, 20, 4), (False, 20, 4)]
+        assert plan(primed_ftl(scheme), columns(*requests)) == (3, 16)
+        assert_replays_match(scheme, requests)
+
+    def test_read_before_the_write_ends_an_ideal_epoch(self):
+        # ideal keeps epochs all-mapped: lpns 20-23 are not yet written.
+        requests = [LEAD_READ, (False, 20, 4), (True, 20, 4)]
+        assert plan(primed_ftl("ideal"), columns(*requests)) == (1, 8)
+
+    def test_lazyftl_cache_admits_reads_written_in_the_epoch(self):
+        options = {"config": default_lazy_config(map_cache_pages=4)}
+        ftl = primed_ftl("LazyFTL", **options)
+        # lpn 300 lies in a translation page the cache has never seen.
+        assert plan(ftl, columns(LEAD_READ, (False, 300, 4))) == (1, 8)
+        requests = [LEAD_READ, (True, 300, 4), (False, 300, 4)]
+        assert plan(ftl, columns(*requests)) == (3, 16)
+        assert_replays_match("LazyFTL", requests, **options)
+
+    @pytest.mark.parametrize("write", [(True, 1, 6), (True, 1, 7)])
+    def test_lazyftl_write_within_the_checkpoint_budget(self, write):
+        options = {"config": default_lazy_config(checkpoint_interval=8)}
+        ftl = primed_ftl("LazyFTL", **options)
+        # The ninth priming write checkpointed at eight and counted one:
+        # six more writes stay free of a checkpoint, though the frontier
+        # has room for seven.
+        assert ftl._writes_since_checkpoint == 1
+        requests = [LEAD_READ, write, (True, 7, 1)]
+        expected = (2, 14) if write[2] == 6 else (1, 8)
+        assert plan(ftl, columns(*requests)) == expected
+        assert_replays_match("LazyFTL", requests, **options)
+
+    def test_dftl_request_with_a_page_missing_from_the_cmt(self):
+        ftl = primed_ftl("DFTL")
+        assert 31 in ftl._cmt and 32 not in ftl._cmt
+        requests = [LEAD_READ, (False, 28, 5), LEAD_READ]
+        assert plan(ftl, columns(*requests)) == (1, 8)
+        assert plan(ftl, columns(LEAD_READ, (False, 27, 5))) == (2, 13)
+        assert_replays_match("DFTL", requests)
+
+    @pytest.mark.parametrize("scheme", PLANNED_SCHEMES)
+    def test_websearch_like_trace_is_mostly_vectorized(
+        self, scheme, vectorized_pages
+    ):
+        """4-16 page reads after a fill: with single-page-only epochs
+        none of them would vectorize."""
+        _, ftl, _ = standard_setup(
+            scheme, num_blocks=96, pages_per_block=16, page_size=512,
+            logical_fraction=0.6,
+        )
+        pages = ftl.logical_pages
+        simulator = Simulator(ftl)
+        simulator.warm_up(warmup_fill(pages))
+        del vectorized_pages[:]
+        trace = websearch(600, pages, seed=3)
+        simulator.run(trace)
+        assert sum(vectorized_pages) > 0.9 * trace.page_ops
 
 
 class TestEligibilityGate:

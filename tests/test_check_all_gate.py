@@ -117,3 +117,17 @@ class TestFlowlintStage:
     def test_flowlint_stage_registered(self, check_all):
         assert "flowlint" in check_all.STEPS
         assert "flowlint" in check_all.RUNNERS
+
+
+class TestPerfbenchTestsStage:
+    def test_stage_registered_after_crashmc(self, check_all):
+        assert check_all.STEPS[-1] == "perfbench-tests"
+        assert "perfbench-tests" in check_all.RUNNERS
+
+    def test_stage_runs_the_benchmark_suite(self, check_all, monkeypatch):
+        calls = []
+        monkeypatch.setattr(check_all, "run_step",
+                            lambda name, argv: calls.append(argv) or True)
+        assert check_all.step_perfbench_tests({}) is True
+        assert calls == [[sys.executable, "-m", "pytest", "perfbench",
+                          "-q"]]

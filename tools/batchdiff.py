@@ -14,7 +14,9 @@ compare equal with ``==``.
 
 Schemes without an epoch planner silently take the scalar path under
 ``replay_mode="batched"`` (the engine declines), so running the whole
-zoo also guards the dispatch gating itself.
+zoo also guards the dispatch gating itself.  The third workload's
+requests span 4 to 16 pages, so the planners' multi-page path is
+audited too.
 
 Run:  PYTHONPATH=src python tools/batchdiff.py [--requests N]
 Exit status 0 when every digest matches, 1 on the first divergence
@@ -41,6 +43,7 @@ from repro.sim.factory import SCHEMES  # noqa: E402
 from repro.sim.golden import engine_digest  # noqa: E402
 from repro.sim.runner import DeviceSpec, run_scheme  # noqa: E402
 from repro.traces.synthetic import hot_cold, uniform_random  # noqa: E402
+from repro.traces.websearch import websearch  # noqa: E402
 
 #: Same smoke geometry as the check_all trace stage: small enough that
 #: the whole zoo replays in seconds, small enough that GC and (for
@@ -53,11 +56,13 @@ DEVICE = DeviceSpec(
 
 
 def build_traces(requests: int) -> List:
-    """Two deterministic workloads bracketing the epoch planner.
+    """Three deterministic workloads bracketing the epoch planner.
 
     The read-heavy hot/cold mix produces long vectorizable epochs (the
     fast path the kernels exist for); the write-heavy uniform mix keeps
-    GC churning so nearly every epoch ends at a boundary op.
+    GC churning so nearly every epoch ends at a boundary op; the
+    Websearch-like mix sends 4-16 page requests (a whole block at most)
+    with enough writes to roll frontiers mid-request.
     """
     pages = DEVICE.logical_pages
     return [
@@ -68,6 +73,10 @@ def build_traces(requests: int) -> List:
         uniform_random(
             requests, pages, write_ratio=0.7, seed=13,
             name="batchdiff-writeheavy",
+        ),
+        websearch(
+            requests, pages, write_ratio=0.3, seed=29,
+            name="batchdiff-multipage",
         ),
     ]
 

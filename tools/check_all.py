@@ -31,7 +31,11 @@ Runs, in order:
 9. **crashmc** - ``python -m repro crashcheck``: crash-consistency
    smoke (every program/erase boundary of a short mixed workload for
    each recovery-capable scheme, plus the ``--mutate`` oracle
-   self-test).
+   self-test);
+10. **perfbench-tests** - ``python3 -m pytest perfbench -q``: the repo
+    benchmark's own tests (metric names, digests, reconciliation, the
+    yardstick), which the tier-1 suite does not collect because its
+    ``testpaths`` is ``tests`` only.
 
 Configuration lives in ``pyproject.toml`` under ``[tool.check_all]``
 (lint paths, the trace smoke command).  Exit status 0 when every step
@@ -62,7 +66,7 @@ except ModuleNotFoundError:  # Python < 3.11
     tomllib = None
 
 STEPS = ("ftlint", "flowlint", "pytest", "mypy", "trace", "report",
-         "perfbench", "batchdiff", "crashmc")
+         "perfbench", "batchdiff", "crashmc", "perfbench-tests")
 
 #: The CFG/dataflow rule ids (kept in sync with
 #: ``repro.checks.lint.FLOW_RULE_IDS``; this module stays stdlib-only
@@ -235,6 +239,15 @@ def step_crashmc(config: dict) -> bool:
     ])
 
 
+def step_perfbench_tests(config: dict) -> bool:
+    """The repo benchmark's own tests (``perfbench/test_perfbench.py``)
+    on a tiny device: the benchmark is a gate of its own, so its tests
+    run here beside the tier-1 suite."""
+    return run_step("perfbench-tests", [
+        sys.executable, "-m", "pytest", "perfbench", "-q",
+    ])
+
+
 RUNNERS = {
     "ftlint": step_ftlint,
     "flowlint": step_flowlint,
@@ -245,6 +258,7 @@ RUNNERS = {
     "perfbench": step_perfbench,
     "batchdiff": step_batchdiff,
     "crashmc": step_crashmc,
+    "perfbench-tests": step_perfbench_tests,
 }
 
 
