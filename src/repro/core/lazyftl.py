@@ -158,34 +158,14 @@ class LazyFTL(FlashTranslationLayer):
         if self._begin_op is not None:
             self._begin_op()
         self.stats.host_reads += 1
-        flash = self.flash
-        fast = self._tracer is None and flash.maintenance_fast_path()
         umt_ppn = self._umt.ppn_at(lpn)
         if umt_ppn >= 0:
-            if fast:
-                # Inline data read (scalar boundary-op hot spot); twin of
-                # the call below (see NandFlash.maintenance_fast_path).
-                ppb = self._pages_per_block
-                page = flash.blocks[umt_ppn // ppb].pages[umt_ppn % ppb]
-                fstats = flash.stats
-                read_us = flash.timing.page_read_us
-                fstats.page_reads += 1
-                fstats.read_us += read_us
-                return HostResult(read_us, page.data)
-            data, _, latency = flash.read_page(umt_ppn)
+            data, _, latency = self.flash.read_page(umt_ppn)
             return HostResult(latency, data)
         ppn, latency = self._maps.lookup(lpn)
         if ppn is None:
             return HostResult(latency + UNMAPPED_READ_US)
-        if fast:
-            ppb = self._pages_per_block
-            page = flash.blocks[ppn // ppb].pages[ppn % ppb]
-            fstats = flash.stats
-            read_us = flash.timing.page_read_us
-            fstats.page_reads += 1
-            fstats.read_us += read_us
-            return HostResult(latency + read_us, page.data)
-        data, _, read_lat = flash.read_page(ppn)
+        data, _, read_lat = self.flash.read_page(ppn)
         return HostResult(latency + read_lat, data)
 
     def write(self, lpn: int, data: Any = None) -> HostResult:
@@ -207,7 +187,7 @@ class LazyFTL(FlashTranslationLayer):
                 latency = 0.0
         else:
             frontier = stripe.next_slot(flash)
-            if frontier is None or len(stripe.open_blocks) < stripe.ways:
+            if frontier is None or self._may_widen(stripe):
                 latency = self._open_update_block()
                 frontier = stripe.open_blocks[-1]
             else:
@@ -215,40 +195,8 @@ class LazyFTL(FlashTranslationLayer):
         # Resolve the superseded copy only now: the frontier work above may
         # have converted the block holding it (removing its UMT entry).
         old_ppn = self._umt.ppn_at(lpn)
-        ppb = self._pages_per_block
-        block = flash.blocks[frontier]
-        wp = block._write_ptr
-        ppn = frontier * ppb + wp
-        if self._tracer is None and flash.maintenance_fast_path():
-            # Inline program + old-copy invalidate (scalar boundary-op
-            # hot spot); twin of the calls below, bit-identical (see
-            # NandFlash.maintenance_fast_path).
-            page = block.pages[wp]
-            page.state = PageState.VALID
-            page.data = data
-            seq = self._seq
-            s = seq._next
-            seq._next = s + 1
-            page.oob = make_oob((lpn, s, PageKind.DATA, False))
-            block.note_programmed()
-            fstats = flash.stats
-            program_us = flash.timing.page_program_us
-            fstats.page_programs += 1
-            fstats.program_us += program_us
-            latency += program_us
-            if old_ppn >= 0:
-                # The old copy lives in the UBA/CBA: invalidate now.
-                oblock = flash.blocks[old_ppn // ppb]
-                opage = oblock.pages[old_ppn % ppb]
-                if opage.state is PageState.VALID:
-                    opage.state = PageState.INVALID
-                    oblock.note_invalidated()
-                else:  # defensive: keep the slow path's accounting
-                    flash.invalidate_page(old_ppn)
-            self._umt.set(lpn, ppn, cold=False)
-            if self._ckpt_interval > 0:
-                latency += self._periodic_checkpoint()
-            return HostResult(latency)
+        ppn = frontier * self._pages_per_block + \
+            flash.blocks[frontier]._write_ptr
         latency += flash.program_page(
             ppn, data, make_oob((lpn, self._seq.next(), PageKind.DATA, False))
         )
@@ -325,12 +273,26 @@ class LazyFTL(FlashTranslationLayer):
     # ------------------------------------------------------------------
     # Frontier management and conversion
     # ------------------------------------------------------------------
+    def _may_widen(self, stripe: StripedFrontier) -> bool:
+        """True when a striped UBA/CBA may open one more way.
+
+        Extra ways open only while the pool can spare blocks beyond the
+        GC reserve (the rule :class:`MappingStore` applies to its own
+        stripe), so striping never drains the free blocks GC relocates
+        into.  Callers still open a block when no open way has a free
+        page.
+        """
+        return (
+            len(stripe.open_blocks) < stripe.ways
+            and len(self._pool) > self.config.gc_free_threshold
+        )
+
     def _ensure_update_frontier(self) -> float:
         """Guarantee the UBA frontier has a free page."""
         stripe = self._uba_stripe
         if stripe is not None:
             if stripe.next_slot(self.flash) is not None and \
-                    len(stripe.open_blocks) >= stripe.ways:
+                    not self._may_widen(stripe):
                 return 0.0
             return self._open_update_block()
         frontier = self._uba.frontier
@@ -359,7 +321,7 @@ class LazyFTL(FlashTranslationLayer):
         stripe = self._cba_stripe
         if stripe is not None:
             if stripe.next_slot(self.flash) is not None and \
-                    len(stripe.open_blocks) >= stripe.ways:
+                    not self._may_widen(stripe):
                 return 0.0
             return self._open_cold_block()
         frontier = self._cba.frontier
@@ -628,8 +590,8 @@ class LazyFTL(FlashTranslationLayer):
         stripe = self._cba_stripe
         frontier = cba.frontier
         if flash.maintenance_fast_path():
-            # Inline twin of the loop below: replicates the untraced
-            # raw-op closures' page/stats mutations (see
+            # Inline twin of the loop below: replicates the NandFlash
+            # raw-op methods' page/stats mutations (see
             # NandFlash.maintenance_fast_path) without a Python call per
             # page; float accumulation order matches, so both produce
             # bit-identical results.
@@ -665,8 +627,7 @@ class LazyFTL(FlashTranslationLayer):
                 latency += read_us
                 if stripe is not None:
                     frontier = stripe.next_slot(flash)
-                    if frontier is None or \
-                            len(stripe.open_blocks) < stripe.ways:
+                    if frontier is None or self._may_widen(stripe):
                         latency += self._open_cold_block()
                         frontier = stripe.open_blocks[-1]
                 elif frontier is None or \
@@ -734,8 +695,7 @@ class LazyFTL(FlashTranslationLayer):
             latency += read_lat
             if stripe is not None:
                 frontier = stripe.next_slot(flash)
-                if frontier is None or \
-                        len(stripe.open_blocks) < stripe.ways:
+                if frontier is None or self._may_widen(stripe):
                     latency += self._open_cold_block()
                     frontier = stripe.open_blocks[-1]
             elif frontier is None or blocks[frontier]._write_ptr >= ppb:

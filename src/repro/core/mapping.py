@@ -188,39 +188,7 @@ class MappingStore:
         flash = self.flash
         frontier = self._frontier
         block = flash.blocks[frontier]
-        ppb = len(block.pages)
-        wp = block._write_ptr
-        ppn = frontier * ppb + wp
-        if self.tracer is None and flash.maintenance_fast_path():
-            # Inline program + displaced-page invalidate (commit-path hot
-            # spot); twin of the calls below, bit-identical by
-            # construction (see NandFlash.maintenance_fast_path).
-            page = block.pages[wp]
-            page.state = PageState.VALID
-            page.data = content
-            seq = self.seq
-            s = seq._next
-            seq._next = s + 1
-            page.oob = make_oob((tvpn, s, PageKind.MAPPING, False))
-            block.note_programmed()
-            fstats = flash.stats
-            program_us = flash.timing.page_program_us
-            fstats.page_programs += 1
-            fstats.program_us += program_us
-            latency += program_us
-            self.stats.map_writes += 1
-            old = self.gtd.get(tvpn)
-            if old is not None:
-                oblock = flash.blocks[old // ppb]
-                opage = oblock.pages[old % ppb]
-                if opage.state is PageState.VALID:
-                    opage.state = PageState.INVALID
-                    oblock.note_invalidated()
-                else:  # defensive: keep the slow path's accounting
-                    flash.invalidate_page(old)
-            self.gtd.set(tvpn, ppn)
-            self._cache.put(tvpn, content)
-            return latency
+        ppn = frontier * len(block.pages) + block._write_ptr
         latency += flash.program_page(
             ppn,
             content,
@@ -291,8 +259,8 @@ class MappingStore:
             if pages[o].state is VALID
         ]
         if tracer is None and flash.maintenance_fast_path():
-            # Inline twin of the loop below: replicates the untraced
-            # raw-op closures' page/stats mutations (see
+            # Inline twin of the loop below: replicates the NandFlash
+            # raw-op methods' page/stats mutations (see
             # NandFlash.maintenance_fast_path) without a Python call per
             # page; float accumulation order matches bit for bit.
             fstats = flash.stats

@@ -125,14 +125,14 @@ class CheckpointScribe:
         """Switch to the other anchor, erasing its stale contents."""
         other = self.anchors[1] if self._current == self.anchors[0] \
             else self.anchors[0]
-        block = self.flash.block(other)
-        for offset in block.programmed_offsets():
-            if block.pages[offset].is_valid:
-                block.invalidate(offset)
+        flash = self.flash
+        block = flash.block(other)
+        for offset in block.valid_offsets():
+            flash.invalidate_page(flash.geometry.ppn_of(other, offset))
         latency = 0.0
         if not block.is_empty:
             try:
-                latency += self.flash.erase_block(other)
+                latency += flash.erase_block(other)
             except BadBlockError as exc:
                 raise CheckpointError(
                     f"checkpoint anchor {other} wore out - recovery "

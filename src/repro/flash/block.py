@@ -1,21 +1,20 @@
-"""One NAND erase block: a fixed array of pages with NAND programming rules.
+"""One NAND erase block: a fixed array of pages plus its counters.
 
-The block enforces the two constraints that shape every FTL design:
+The block holds the counters (valid pages, write pointer, erase count) that
+garbage-collection and wear-leveling policies consume.  The two constraints
+that shape every FTL design are enforced where pages are programmed, in
+:meth:`repro.flash.chip.NandFlash.program_page`:
 
 * **erase-before-write** - a page can only be programmed while FREE;
 * **sequential programming** - pages within a block must be programmed in
   ascending offset order (the NOP=1 rule of SLC/MLC NAND).
-
-It also maintains the counters (valid pages, write pointer, erase count) that
-garbage-collection and wear-leveling policies consume.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Iterator, List
 
-from .errors import EraseError, ProgramError, ReadError
-from .oob import OOBData
+from .errors import EraseError
 from .page import Page, PageState
 
 
@@ -94,71 +93,19 @@ class Block:
         return iter(range(self._write_ptr))
 
     # ------------------------------------------------------------------
-    # NAND operations (invoked by the chip, which does the accounting)
-    # ------------------------------------------------------------------
-    def read(self, offset: int) -> Tuple[Any, Optional[OOBData]]:
-        """Return ``(data, oob)`` of a programmed page.
-
-        Reading an unprogrammed page is a simulator usage bug, so it raises
-        :class:`ReadError` rather than returning garbage silently.
-        """
-        page = self.pages[offset]
-        if page.is_free:
-            raise ReadError(
-                f"read of unprogrammed page (block {self.index}, offset {offset})"
-            )
-        return page.data, page.oob
-
-    def program(self, offset: int, data: Any, oob: Optional[OOBData],
-                enforce_sequential: bool = True) -> None:
-        """Program one page, enforcing NAND constraints."""
-        page = self.pages[offset]
-        if not page.is_free:
-            raise ProgramError(
-                f"program of non-free page (block {self.index}, offset {offset})"
-            )
-        if enforce_sequential and offset != self._write_ptr:
-            raise ProgramError(
-                f"non-sequential program in block {self.index}: "
-                f"offset {offset}, expected {self._write_ptr}"
-            )
-        page.program(data, oob)
-        if offset >= self._write_ptr:
-            self._write_ptr = offset + 1
-        self._valid_count += 1
-
-    def invalidate(self, offset: int) -> bool:
-        """Mark a VALID page stale; returns False when it already was.
-
-        A False return means the caller's bookkeeping tried to retire the
-        same physical copy twice - the chip surfaces that explicitly (see
-        :meth:`repro.flash.chip.NandFlash.invalidate_page`) instead of
-        letting it pass as a silent no-op.
-        """
-        page = self.pages[offset]
-        if page.is_free:
-            raise ProgramError(
-                f"invalidate of free page (block {self.index}, offset {offset})"
-            )
-        if not page.is_valid:
-            return False
-        page.invalidate()
-        self._valid_count -= 1
-        return True
-
-    # ------------------------------------------------------------------
     # Inline-program accounting (the untraced fast paths)
     # ------------------------------------------------------------------
     def note_programmed(self) -> None:
         """Advance the frontier counters for one in-place page program.
 
-        The untraced fast paths (the ``maintenance_fast_path`` replay
+        The untraced fast paths (the ``maintenance_fast_path`` relocation
         loops and the batch-replay kernels) program the frontier page by
-        mutating it directly instead of calling :meth:`program` - they
-        have already established the page is FREE and at the write
-        pointer, and they skip the checks to stay cheap.  This is the
-        sanctioned way for them to keep the block counters honest; it is
-        the accounting half of :meth:`program` with the NAND-constraint
+        mutating it directly instead of calling
+        :meth:`repro.flash.chip.NandFlash.program_page` - they have
+        already established the page is FREE and at the write pointer,
+        and they skip the checks to stay cheap.  This is the sanctioned
+        way for them to keep the block counters honest; it is the
+        accounting half of ``program_page`` with the NAND-constraint
         checks elided.
         """
         self._write_ptr += 1
@@ -176,8 +123,9 @@ class Block:
     def note_invalidated(self) -> None:
         """Account one in-place VALID -> INVALID page flip.
 
-        Fast-path twin of :meth:`invalidate`: the caller has already
-        checked the page was VALID and flipped its state.
+        Fast-path twin of
+        :meth:`repro.flash.chip.NandFlash.invalidate_page`: the caller
+        has already checked the page was VALID and flipped its state.
         """
         self._valid_count -= 1
 
@@ -187,10 +135,13 @@ class Block:
             raise EraseError(
                 f"erase of block {self.index} with {self._valid_count} valid pages"
             )
-        for page in self.pages:
-            page.reset()
+        # Pages at or past the write pointer were never programmed since
+        # the last erase, so they are already FREE/None/None.
+        for page in self.pages[:self._write_ptr]:
+            page.state = PageState.FREE
+            page.data = None
+            page.oob = None
         self._write_ptr = 0
-        self._valid_count = 0
         self.erase_count += 1
 
     def force_erase(self) -> None:

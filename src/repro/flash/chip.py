@@ -19,7 +19,6 @@ from .block import Block
 from .errors import (
     BadBlockError,
     DeviceOffError,
-    EraseError,
     PowerLossError,
     ProgramError,
     ReadError,
@@ -31,6 +30,10 @@ from .oob import OOBData
 from .page import PageState
 from .stats import FlashStats
 from .timing import SLC_TIMING, TimingModel
+
+_FREE = PageState.FREE
+_VALID = PageState.VALID
+_INVALID = PageState.INVALID
 
 
 class NandFlash:
@@ -68,207 +71,11 @@ class NandFlash:
         self.stats = FlashStats()
         self.fault = PowerFault()
         self._powered = True
-        self._tracer = None
-        self._rebind_fast_paths()
-
-    # ------------------------------------------------------------------
-    # Tracer attachment and fast/slow dispatch
-    # ------------------------------------------------------------------
-    #: Raw-op methods that get an instance-bound fast variant while no
-    #: tracer is attached.
-    _FAST_BOUND = (
-        "read_page", "probe_page", "program_page", "erase_block",
-        "invalidate_page", "block",
-    )
-
-    @property
-    def tracer(self):
-        """Optional :class:`repro.obs.tracer.Tracer` (None by default)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self._tracer = value
-        self._rebind_fast_paths()
-
-    def _rebind_fast_paths(self) -> None:
-        """Install (or remove) instance-bound untraced raw-op variants.
-
-        With no tracer attached, each raw operation is a closure that has
-        pre-resolved the geometry scalars, timing constants, block list and
-        stats object, and carries no tracer branch at all - the untraced
-        run does zero observability work.  Attaching a tracer removes the
-        bindings so calls fall through to the traced class methods.
-
-        Subclasses (the flashsan sanitizer overrides these methods) are
-        left untouched: an instance binding would shadow their overrides.
-        """
-        if type(self) is not NandFlash:
-            return
-        d = self.__dict__
-        if self._tracer is not None:
-            for name in self._FAST_BOUND:
-                d.pop(name, None)
-            return
-        geometry = self.geometry
-        total_pages = geometry.total_pages
-        num_blocks = geometry.num_blocks
-        ppb = geometry.pages_per_block
-        check_ppn = geometry.check_ppn
-        check_block = geometry.check_block
-        blocks = self.blocks
-        stats = self.stats
-        fault = self.fault
-        on_program = fault.on_program
-        on_erase = fault.on_erase
-        read_us = self.timing.page_read_us
-        program_us = self.timing.page_program_us
-        erase_us = self.timing.block_erase_us
-        endurance = self.endurance
-        FREE = PageState.FREE
-        VALID = PageState.VALID
-        INVALID = PageState.INVALID
-
-        def read_page(ppn: int) -> Tuple[Any, Optional[OOBData], float]:
-            if not self._powered:
-                raise DeviceOffError("flash device is powered off")
-            if not 0 <= ppn < total_pages:
-                check_ppn(ppn)
-            page = blocks[ppn // ppb].pages[ppn % ppb]
-            if page.state is FREE:
-                raise ReadError(
-                    f"read of unprogrammed page "
-                    f"(block {ppn // ppb}, offset {ppn % ppb})"
-                )
-            stats.page_reads += 1
-            stats.read_us += read_us
-            return page.data, page.oob, read_us
-
-        def probe_page(ppn: int) -> Tuple[Optional[OOBData], float]:
-            if not self._powered:
-                raise DeviceOffError("flash device is powered off")
-            if not 0 <= ppn < total_pages:
-                check_ppn(ppn)
-            page = blocks[ppn // ppb].pages[ppn % ppb]
-            stats.page_reads += 1
-            stats.read_us += read_us
-            if page.state is FREE:
-                return None, read_us
-            return page.oob, read_us
-
-        def program_page(
-            ppn: int, data: Any, oob: Optional[OOBData] = None
-        ) -> float:
-            if not self._powered:
-                raise DeviceOffError("flash device is powered off")
-            # _remaining is None exactly when on_program() would return
-            # False (disarmed, or already tripped - tripping nulls the
-            # countdown), so the common unarmed case skips the call.
-            if fault._remaining is not None and on_program(ppn):
-                self._powered = False
-                raise PowerLossError(
-                    f"power lost before programming ppn {ppn}"
-                )
-            if not 0 <= ppn < total_pages:
-                check_ppn(ppn)
-            pbn = ppn // ppb
-            offset = ppn % ppb
-            block = blocks[pbn]
-            if block.is_bad:
-                raise BadBlockError(pbn, block.erase_count)
-            page = block.pages[offset]
-            if page.state is not FREE:
-                raise ProgramError(
-                    f"program of non-free page (block {pbn}, "
-                    f"offset {offset})"
-                )
-            write_ptr = block._write_ptr
-            if offset != write_ptr and self.enforce_sequential:
-                raise ProgramError(
-                    f"non-sequential program in block {pbn}: "
-                    f"offset {offset}, expected {write_ptr}"
-                )
-            page.state = VALID
-            page.data = data
-            page.oob = oob
-            if offset >= write_ptr:
-                block._write_ptr = offset + 1
-            block._valid_count += 1
-            stats.page_programs += 1
-            stats.program_us += program_us
-            return program_us
-
-        def erase_block(pbn: int) -> float:
-            if not self._powered:
-                raise DeviceOffError("flash device is powered off")
-            if fault._remaining is not None and on_erase(pbn):
-                self._powered = False
-                raise PowerLossError(f"power lost before erasing block {pbn}")
-            if not 0 <= pbn < num_blocks:
-                check_block(pbn)
-            block = blocks[pbn]
-            if block.is_bad:
-                raise BadBlockError(pbn, block.erase_count)
-            stats.block_erases += 1
-            stats.erase_us += erase_us
-            if endurance is not None and block.erase_count >= endurance:
-                block.force_erase()  # contents are gone either way
-                block.mark_bad()
-                raise BadBlockError(pbn, block.erase_count)
-            if block._valid_count > 0:
-                raise EraseError(
-                    f"erase of block {pbn} with {block._valid_count} "
-                    "valid pages"
-                )
-            # Inlined Block.erase: pages at or past the write pointer were
-            # never programmed since the last erase, so they are already
-            # FREE/None/None and need no reset.
-            for page in block.pages[:block._write_ptr]:
-                page.state = FREE
-                page.data = None
-                page.oob = None
-            block._write_ptr = 0
-            block.erase_count += 1
-            return erase_us
-
-        def invalidate_page(ppn: int) -> None:
-            if not 0 <= ppn < total_pages:
-                check_ppn(ppn)
-            pbn = ppn // ppb
-            offset = ppn % ppb
-            block = blocks[pbn]
-            page = block.pages[offset]
-            state = page.state
-            if state is VALID:
-                page.state = INVALID
-                block._valid_count -= 1
-                return
-            if state is FREE:
-                raise ProgramError(
-                    f"invalidate of free page (block {pbn}, "
-                    f"offset {offset})"
-                )
-            stats.redundant_invalidates += 1
-            warnings.warn(
-                RedundantInvalidateWarning(
-                    f"page (block {pbn}, offset {offset}) invalidated "
-                    "twice - double supersession in FTL bookkeeping"
-                ),
-                stacklevel=2,
-            )
-
-        def block(pbn: int) -> Block:
-            if 0 <= pbn < num_blocks:
-                return blocks[pbn]
-            check_block(pbn)
-            raise AssertionError("unreachable")  # pragma: no cover
-
-        d["read_page"] = read_page
-        d["probe_page"] = probe_page
-        d["program_page"] = program_page
-        d["erase_block"] = erase_block
-        d["invalidate_page"] = invalidate_page
-        d["block"] = block
+        #: Optional :class:`repro.obs.tracer.Tracer` (None by default).
+        self.tracer: Optional[Any] = None
+        # Geometry scalars cached for the per-op address math below.
+        self._pages_per_block = self.geometry.pages_per_block
+        self._total_pages = self.geometry.total_pages
 
     def maintenance_fast_path(self) -> bool:
         """True when maintenance loops may inline raw page operations.
@@ -277,16 +84,16 @@ class NandFlash:
         :mod:`repro.perf.batch`) can skip the per-op call overhead and
         mutate pages and stats directly - but only when nothing observes
         the per-op stream: exact :class:`NandFlash` (the flashsan
-        sanitizer subclasses it to audit every raw op), powered, no
+        sanitizer and the parallel device subclass it), powered, no
         tracer attached, and the power-fault injector disarmed (fault
         countdowns must see every program/erase).  Inline sequences
-        replicate the closures' state and stats updates exactly, so
-        eligibility changes speed, never results.
+        replicate the raw-op methods' state and stats updates exactly,
+        so eligibility changes speed, never results.
         """
         return (
             type(self) is NandFlash
             and self._powered
-            and self._tracer is None
+            and self.tracer is None
             and self.fault._remaining is None
         )
 
@@ -312,24 +119,29 @@ class NandFlash:
         self._powered = True
         self.fault.disarm()
 
-    def _check_power(self) -> None:
-        if not self._powered:
-            raise DeviceOffError("flash device is powered off")
-
     # ------------------------------------------------------------------
     # Raw NAND operations
     # ------------------------------------------------------------------
     def read_page(self, ppn: int) -> Tuple[Any, Optional[OOBData], float]:
         """Read a page; returns ``(data, oob, latency_us)``."""
-        self._check_power()
-        block, offset = self.geometry.split_ppn(ppn)
-        data, oob = self.blocks[block].read(offset)
+        if not self._powered:
+            raise DeviceOffError("flash device is powered off")
+        if not 0 <= ppn < self._total_pages:
+            self.geometry.check_ppn(ppn)
+        ppb = self._pages_per_block
+        page = self.blocks[ppn // ppb].pages[ppn % ppb]
+        if page.state is _FREE:
+            raise ReadError(
+                f"read of unprogrammed page "
+                f"(block {ppn // ppb}, offset {ppn % ppb})"
+            )
         latency = self.timing.page_read_us
-        self.stats.page_reads += 1
-        self.stats.read_us += latency
-        if self._tracer is not None:
-            self._tracer.flash_op(EventType.PAGE_READ, ppn, latency)
-        return data, oob, latency
+        stats = self.stats
+        stats.page_reads += 1
+        stats.read_us += latency
+        if self.tracer is not None:
+            self.tracer.flash_op(EventType.PAGE_READ, ppn, latency)
+        return page.data, page.oob, latency
 
     def read_oob(self, ppn: int) -> Tuple[Optional[OOBData], float]:
         """Read only the spare area of a page.
@@ -349,15 +161,19 @@ class NandFlash:
         raising; recovery scans use this to classify blocks (real
         controllers detect erased pages as all-0xFF).  Charged as a read.
         """
-        self._check_power()
-        block, offset = self.geometry.split_ppn(ppn)
-        page = self.blocks[block].pages[offset]
+        if not self._powered:
+            raise DeviceOffError("flash device is powered off")
+        if not 0 <= ppn < self._total_pages:
+            self.geometry.check_ppn(ppn)
+        ppb = self._pages_per_block
+        page = self.blocks[ppn // ppb].pages[ppn % ppb]
         latency = self.timing.page_read_us
-        self.stats.page_reads += 1
-        self.stats.read_us += latency
-        if self._tracer is not None:
-            self._tracer.flash_op(EventType.PAGE_READ, ppn, latency)
-        if page.is_free:
+        stats = self.stats
+        stats.page_reads += 1
+        stats.read_us += latency
+        if self.tracer is not None:
+            self.tracer.flash_op(EventType.PAGE_READ, ppn, latency)
+        if page.state is _FREE:
             return None, latency
         return page.oob, latency
 
@@ -366,24 +182,51 @@ class NandFlash:
     ) -> float:
         """Program a page; returns the latency in microseconds.
 
-        Raises :class:`PowerLossError` (leaving the page unprogrammed) if an
-        armed fault trips on this operation.
+        Enforces erase-before-write and (with ``enforce_sequential``)
+        in-block sequential order.  Raises :class:`PowerLossError`
+        (leaving the page unprogrammed) if an armed fault trips on this
+        operation.
         """
-        self._check_power()
-        if self.fault.on_program(ppn):
+        if not self._powered:
+            raise DeviceOffError("flash device is powered off")
+        fault = self.fault
+        # _remaining is None exactly when on_program() would return False
+        # (disarmed, or already tripped - tripping nulls the countdown),
+        # so the common unarmed case skips the call.
+        if fault._remaining is not None and fault.on_program(ppn):
             self._powered = False
             raise PowerLossError(f"power lost before programming ppn {ppn}")
-        block, offset = self.geometry.split_ppn(ppn)
-        if self.blocks[block].is_bad:
-            raise BadBlockError(block, self.blocks[block].erase_count)
-        self.blocks[block].program(
-            offset, data, oob, enforce_sequential=self.enforce_sequential
-        )
+        if not 0 <= ppn < self._total_pages:
+            self.geometry.check_ppn(ppn)
+        ppb = self._pages_per_block
+        pbn = ppn // ppb
+        offset = ppn % ppb
+        block = self.blocks[pbn]
+        if block.is_bad:
+            raise BadBlockError(pbn, block.erase_count)
+        page = block.pages[offset]
+        if page.state is not _FREE:
+            raise ProgramError(
+                f"program of non-free page (block {pbn}, offset {offset})"
+            )
+        write_ptr = block._write_ptr
+        if offset != write_ptr and self.enforce_sequential:
+            raise ProgramError(
+                f"non-sequential program in block {pbn}: "
+                f"offset {offset}, expected {write_ptr}"
+            )
+        page.state = _VALID
+        page.data = data
+        page.oob = oob
+        if offset >= write_ptr:
+            block._write_ptr = offset + 1
+        block._valid_count += 1
         latency = self.timing.page_program_us
-        self.stats.page_programs += 1
-        self.stats.program_us += latency
-        if self._tracer is not None:
-            self._tracer.flash_op(
+        stats = self.stats
+        stats.page_programs += 1
+        stats.program_us += latency
+        if self.tracer is not None:
+            self.tracer.flash_op(
                 EventType.PAGE_PROGRAM, ppn, latency,
                 lpn=oob.lpn if oob is not None else None,
             )
@@ -398,24 +241,32 @@ class NandFlash:
         :class:`BadBlockError` is raised after charging the erase time -
         real controllers discover wear-out exactly this way.
         """
-        self._check_power()
-        if self.fault.on_erase(pbn):
+        if not self._powered:
+            raise DeviceOffError("flash device is powered off")
+        fault = self.fault
+        if fault._remaining is not None and fault.on_erase(pbn):
             self._powered = False
             raise PowerLossError(f"power lost before erasing block {pbn}")
-        self.geometry.check_block(pbn)
-        block = self.blocks[pbn]
+        blocks = self.blocks
+        if not 0 <= pbn < len(blocks):
+            self.geometry.check_block(pbn)
+        block = blocks[pbn]
         if block.is_bad:
             raise BadBlockError(pbn, block.erase_count)
         latency = self.timing.block_erase_us
-        self.stats.block_erases += 1
-        self.stats.erase_us += latency
-        if self._tracer is not None:
-            self._tracer.flash_op(EventType.BLOCK_ERASE, pbn, latency)
-        if self.endurance is not None and block.erase_count >= self.endurance:
+        stats = self.stats
+        stats.block_erases += 1
+        stats.erase_us += latency
+        endurance = self.endurance
+        if endurance is not None and block.erase_count >= endurance:
             block.force_erase()  # contents are gone either way
             block.mark_bad()
+            if self.tracer is not None:
+                self.tracer.flash_op(EventType.BLOCK_ERASE, pbn, latency)
             raise BadBlockError(pbn, block.erase_count)
         block.erase()
+        if self.tracer is not None:
+            self.tracer.flash_op(EventType.BLOCK_ERASE, pbn, latency)
         return latency
 
     # ------------------------------------------------------------------
@@ -431,16 +282,30 @@ class NandFlash:
         bookkeeping retired the same copy twice.  The flashsan sanitizer
         turns both into structured violations.
         """
-        block, offset = self.geometry.split_ppn(ppn)
-        if not self.blocks[block].invalidate(offset):
-            self.stats.redundant_invalidates += 1
-            warnings.warn(
-                RedundantInvalidateWarning(
-                    f"page (block {block}, offset {offset}) invalidated "
-                    "twice - double supersession in FTL bookkeeping"
-                ),
-                stacklevel=2,
+        if not 0 <= ppn < self._total_pages:
+            self.geometry.check_ppn(ppn)
+        ppb = self._pages_per_block
+        pbn = ppn // ppb
+        offset = ppn % ppb
+        block = self.blocks[pbn]
+        page = block.pages[offset]
+        state = page.state
+        if state is _VALID:
+            page.state = _INVALID
+            block._valid_count -= 1
+            return
+        if state is _FREE:
+            raise ProgramError(
+                f"invalidate of free page (block {pbn}, offset {offset})"
             )
+        self.stats.redundant_invalidates += 1
+        warnings.warn(
+            RedundantInvalidateWarning(
+                f"page (block {pbn}, offset {offset}) invalidated "
+                "twice - double supersession in FTL bookkeeping"
+            ),
+            stacklevel=2,
+        )
 
     def page_state(self, ppn: int):
         """Return the :class:`~repro.flash.page.PageState` of a page."""
@@ -449,8 +314,10 @@ class NandFlash:
 
     def block(self, pbn: int) -> Block:
         """Return the :class:`Block` object for physical block ``pbn``."""
-        self.geometry.check_block(pbn)
-        return self.blocks[pbn]
+        blocks = self.blocks
+        if not 0 <= pbn < len(blocks):
+            self.geometry.check_block(pbn)
+        return blocks[pbn]
 
     def erase_counts(self) -> List[int]:
         """Per-block erase counts (wear profile)."""

@@ -53,16 +53,6 @@ class Page:
         """True when the page holds a stale copy."""
         return self.state is PageState.INVALID
 
-    def program(self, data: Any, oob: Optional[OOBData]) -> None:
-        """Store content; caller (the block) has checked NAND constraints."""
-        self.state = PageState.VALID
-        self.data = data
-        self.oob = oob
-
-    def invalidate(self) -> None:
-        """Mark the stored copy stale (page becomes GC-reclaimable)."""
-        self.state = PageState.INVALID
-
     def reset(self) -> None:
         """Return to the erased state (block erase path)."""
         self.state = PageState.FREE

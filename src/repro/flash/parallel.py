@@ -42,10 +42,12 @@ imbalance.  It is reported to an attached tracer via
 decomposition (like host-side queueing), never inside the cause
 buckets.
 
-Because this class is a real subclass, every fast path keyed on exact
-``type(x) is NandFlash`` - the untraced closure bindings, FTL inline
-maintenance twins, and the batch-replay engines - automatically
-disqualifies itself and falls back to the (bit-identical) slow paths.
+Every raw op runs the one :class:`NandFlash` implementation through
+``super()`` and only rewrites the latency it returns.  Because this class
+is a real subclass, the maintenance fast paths keyed on exact
+``type(x) is NandFlash`` - the FTLs' inline GC/convert relocation twins
+and the batch-replay engines - disqualify themselves and fall back to
+the (bit-identical) per-op calls.
 
 ``serialize_timing=True`` forces every op to start at the current op
 makespan instead of its unit clock, turning timing back into the serial
@@ -150,26 +152,26 @@ class ParallelNandFlash(NandFlash):
     # the endurance-failure erase below.
 
     def read_page(self, ppn: int) -> Tuple[Any, Optional[OOBData], float]:
-        tracer = self._tracer
-        self._tracer = None
+        tracer = self.tracer
+        self.tracer = None
         try:
             data, oob, raw = super().read_page(ppn)
         finally:
-            self._tracer = tracer
-        unit = (ppn // self.geometry.pages_per_block) % self._units
+            self.tracer = tracer
+        unit = (ppn // self._pages_per_block) % self._units
         delta, wait = self._advance(unit, raw)
         if tracer is not None:
             self._trace_op(tracer, EventType.PAGE_READ, ppn, delta, wait)
         return data, oob, delta
 
     def probe_page(self, ppn: int) -> Tuple[Optional[OOBData], float]:
-        tracer = self._tracer
-        self._tracer = None
+        tracer = self.tracer
+        self.tracer = None
         try:
             oob, raw = super().probe_page(ppn)
         finally:
-            self._tracer = tracer
-        unit = (ppn // self.geometry.pages_per_block) % self._units
+            self.tracer = tracer
+        unit = (ppn // self._pages_per_block) % self._units
         delta, wait = self._advance(unit, raw)
         if tracer is not None:
             self._trace_op(tracer, EventType.PAGE_READ, ppn, delta, wait)
@@ -178,13 +180,13 @@ class ParallelNandFlash(NandFlash):
     def program_page(
         self, ppn: int, data: Any, oob: Optional[OOBData] = None
     ) -> float:
-        tracer = self._tracer
-        self._tracer = None
+        tracer = self.tracer
+        self.tracer = None
         try:
             raw = super().program_page(ppn, data, oob)
         finally:
-            self._tracer = tracer
-        unit = (ppn // self.geometry.pages_per_block) % self._units
+            self.tracer = tracer
+        unit = (ppn // self._pages_per_block) % self._units
         delta, wait = self._advance(unit, raw)
         if tracer is not None:
             self._trace_op(
@@ -194,8 +196,8 @@ class ParallelNandFlash(NandFlash):
         return delta
 
     def erase_block(self, pbn: int) -> float:
-        tracer = self._tracer
-        self._tracer = None
+        tracer = self.tracer
+        self.tracer = None
         stats = self.stats
         erases_before = stats.block_erases
         try:
@@ -215,7 +217,7 @@ class ParallelNandFlash(NandFlash):
                     )
             raise
         finally:
-            self._tracer = tracer
+            self.tracer = tracer
         delta, wait = self._advance(pbn % self._units, raw)
         if tracer is not None:
             self._trace_op(tracer, EventType.BLOCK_ERASE, pbn, delta, wait)

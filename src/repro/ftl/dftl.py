@@ -131,18 +131,7 @@ class DftlFTL(FlashTranslationLayer):
         ppn, latency = self._lookup(lpn)
         if ppn is None:
             return HostResult(latency + UNMAPPED_READ_US)
-        flash = self.flash
-        if self._tracer is None and flash.maintenance_fast_path():
-            # Inline data read (scalar boundary-op hot spot); twin of the
-            # call below (see NandFlash.maintenance_fast_path).
-            ppb = self._pages_per_block
-            page = flash.blocks[ppn // ppb].pages[ppn % ppb]
-            fstats = flash.stats
-            read_us = flash.timing.page_read_us
-            fstats.page_reads += 1
-            fstats.read_us += read_us
-            return HostResult(latency + read_us, page.data)
-        data, _, read_lat = flash.read_page(ppn)
+        data, _, read_lat = self.flash.read_page(ppn)
         return HostResult(latency + read_lat, data)
 
     def write(self, lpn: int, data: Any = None) -> HostResult:
@@ -167,38 +156,7 @@ class DftlFTL(FlashTranslationLayer):
         # copy meanwhile (the CMT entry is kept current by GC).
         entry = self._cmt[lpn]  # present: _lookup just inserted/refreshed it
         old_ppn = entry.ppn
-        block = flash.blocks[active]
-        wp = block._write_ptr
-        ppn = active * ppb + wp
-        if self._tracer is None and flash.maintenance_fast_path():
-            # Inline program + old-copy invalidate (scalar boundary-op
-            # hot spot); twin of the calls below, bit-identical (see
-            # NandFlash.maintenance_fast_path).
-            page = block.pages[wp]
-            page.state = PageState.VALID
-            page.data = data
-            seq = self._seq
-            s = seq._next
-            seq._next = s + 1
-            page.oob = make_oob((lpn, s, PageKind.DATA, False))
-            block.note_programmed()
-            fstats = flash.stats
-            program_us = flash.timing.page_program_us
-            fstats.page_programs += 1
-            fstats.program_us += program_us
-            latency += program_us
-            if old_ppn is not None:
-                oblock = flash.blocks[old_ppn // ppb]
-                opage = oblock.pages[old_ppn % ppb]
-                if opage.state is PageState.VALID:
-                    opage.state = PageState.INVALID
-                    oblock.note_invalidated()
-                else:  # defensive: keep the slow path's accounting
-                    flash.invalidate_page(old_ppn)
-            entry.ppn = ppn
-            entry.dirty = True
-            self._cmt.move_to_end(lpn)
-            return HostResult(latency)
+        ppn = active * ppb + flash.blocks[active]._write_ptr
         latency += flash.program_page(
             ppn, data, make_oob((lpn, self._seq.next(), PageKind.DATA, False))
         )
@@ -302,39 +260,8 @@ class DftlFTL(FlashTranslationLayer):
         latency = self._ensure_trans_active()
         flash = self.flash
         trans_active = self._trans_active
-        ppb = self._pages_per_block
-        block = flash.blocks[trans_active]
-        wp = block._write_ptr
-        ppn = trans_active * ppb + wp
-        if self._tracer is None and flash.maintenance_fast_path():
-            # Inline program + displaced-page invalidate (eviction-flush
-            # and GC-commit hot spot); twin of the calls below,
-            # bit-identical (see NandFlash.maintenance_fast_path).
-            page = block.pages[wp]
-            page.state = PageState.VALID
-            page.data = content
-            seq = self._seq
-            s = seq._next
-            seq._next = s + 1
-            page.oob = make_oob((tvpn, s, PageKind.MAPPING, False))
-            block.note_programmed()
-            fstats = flash.stats
-            program_us = flash.timing.page_program_us
-            fstats.page_programs += 1
-            fstats.program_us += program_us
-            latency += program_us
-            self.stats.map_writes += 1
-            old = self._gtd[tvpn]
-            if old is not None:
-                oblock = flash.blocks[old // ppb]
-                opage = oblock.pages[old % ppb]
-                if opage.state is PageState.VALID:
-                    opage.state = PageState.INVALID
-                    oblock.note_invalidated()
-                else:  # defensive: keep the slow path's accounting
-                    flash.invalidate_page(old)
-            self._gtd[tvpn] = ppn
-            return latency
+        ppn = trans_active * self._pages_per_block + \
+            flash.blocks[trans_active]._write_ptr
         latency += flash.program_page(
             ppn,
             content,

@@ -92,18 +92,7 @@ class PageFTL(FlashTranslationLayer):
         ppn = self._map.raw[lpn]
         if ppn < 0:
             return HostResult(UNMAPPED_READ_US)
-        flash = self.flash
-        if self._tracer is None and flash.maintenance_fast_path():
-            # Inline data read (scalar boundary-op hot spot); twin of the
-            # call below (see NandFlash.maintenance_fast_path).
-            ppb = self._pages_per_block
-            page = flash.blocks[ppn // ppb].pages[ppn % ppb]
-            fstats = flash.stats
-            read_us = flash.timing.page_read_us
-            fstats.page_reads += 1
-            fstats.read_us += read_us
-            return HostResult(read_us, page.data)
-        data, _, latency = flash.read_page(ppn)
+        data, _, latency = self.flash.read_page(ppn)
         return HostResult(latency, data)
 
     def write(self, lpn: int, data: Any = None) -> HostResult:
@@ -115,40 +104,7 @@ class PageFTL(FlashTranslationLayer):
         latency = self._ensure_active()
         active = self._active
         flash = self.flash
-        ppb = self._pages_per_block
-        block = flash.blocks[active]
-        wp = block._write_ptr
-        ppn = active * ppb + wp
-        if self._tracer is None and flash.maintenance_fast_path():
-            # Inline program + old-copy invalidate (scalar boundary-op
-            # hot spot); twin of the calls below, bit-identical (see
-            # NandFlash.maintenance_fast_path; make_oob produces the same
-            # tuple the validated OOBData constructor would).
-            page = block.pages[wp]
-            page.state = PageState.VALID
-            page.data = data
-            seq = self._seq
-            s = seq._next
-            seq._next = s + 1
-            page.oob = make_oob((lpn, s, PageKind.DATA, False))
-            block.note_programmed()
-            fstats = flash.stats
-            program_us = flash.timing.page_program_us
-            fstats.page_programs += 1
-            fstats.program_us += program_us
-            latency += program_us
-            map_raw = self._map.raw
-            old = map_raw[lpn]
-            if old >= 0:
-                oblock = flash.blocks[old // ppb]
-                opage = oblock.pages[old % ppb]
-                if opage.state is PageState.VALID:
-                    opage.state = PageState.INVALID
-                    oblock.note_invalidated()
-                else:  # defensive: keep the slow path's accounting
-                    flash.invalidate_page(old)
-            map_raw[lpn] = ppn
-            return HostResult(latency)
+        ppn = active * self._pages_per_block + flash.blocks[active]._write_ptr
         latency += flash.program_page(
             ppn, data, OOBData(lpn, self._seq.next())
         )
@@ -319,7 +275,7 @@ class PageFTL(FlashTranslationLayer):
     def _relocate_fast(self, victim: Any) -> float:
         """Inline twin of the relocation loop in :meth:`_collect_one`.
 
-        Replicates the untraced raw-op closures' page and stats mutations
+        Replicates the NandFlash raw-op methods' page and stats mutations
         (see :meth:`repro.flash.chip.NandFlash.maintenance_fast_path`)
         without a Python call per page; float accumulation order is the
         loop above's, so both produce bit-identical results.

@@ -2,11 +2,10 @@
 
 A sweep is a list of independent measurement cells (one scheme replaying
 one trace on one device).  Cells carry only picklable *inputs* - never a
-:class:`~repro.flash.chip.NandFlash` or an FTL instance: the engine's
-untraced fast paths are instance-bound closures, which cannot cross a
-process boundary.  Each worker rebuilds the device and scheme from scratch
-instead, so a parallel run replays exactly what a serial run would and the
-results are bit-identical (regression-tested).
+:class:`~repro.flash.chip.NandFlash` or an FTL instance.  Each worker
+rebuilds the device and scheme from scratch, so a parallel run replays
+exactly what a serial run would and the results are bit-identical
+(regression-tested).
 
 ``jobs <= 1`` runs every cell in-process with no pool at all, which keeps
 single-job invocations debuggable (breakpoints, profilers and coverage all

@@ -1,7 +1,7 @@
 """Golden-stats capture: exact engine digests for regression testing.
 
-The PR-3 hot-path overhaul (array-backed mapping tables, slotted flash
-state, pre-bound fast/slow tracer dispatch) must not change a single
+Hot-path work on the engine (array-backed mapping tables, slotted flash
+state, inline relocation loops, batch replay) must not change a single
 modeled statistic: erase counts, merge counts, response-time
 distributions, RAM accounting - everything an experiment reports has to
 stay bit-identical, because the figures in EXPERIMENTS.md were produced

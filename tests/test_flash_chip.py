@@ -1,5 +1,8 @@
 """Unit tests for the NandFlash device: ops, latency charging, stats."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.flash import (
@@ -7,6 +10,7 @@ from repro.flash import (
     NandFlash,
     OOBData,
     PageState,
+    ParallelNandFlash,
     ProgramError,
     UNIT_TIMING,
     SLC_TIMING,
@@ -114,3 +118,22 @@ class TestStatsSnapshots:
             "read_us", "program_us", "erase_us",
             "redundant_invalidates",
         }
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("cls", [NandFlash, ParallelNandFlash])
+    def test_dropped_device_is_freed_without_cycle_collection(self, cls):
+        """A device holds no reference cycle through itself, so dropping
+        the last reference frees it at once - not at the next gen-2
+        collection (runs that build device after device stay small)."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            chip = cls(FlashGeometry(num_blocks=4, pages_per_block=8))
+            chip.program_page(0, "a")
+            ref = weakref.ref(chip)
+            del chip
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

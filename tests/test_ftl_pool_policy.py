@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flash.block import Block
+from repro.flash import FlashGeometry, NandFlash
 from repro.ftl.gc_policy import select_cost_benefit, select_greedy
 from repro.ftl.pool import BlockPool, OutOfBlocksError
 
@@ -53,12 +53,13 @@ class TestBlockPool:
 
 
 def block_with(index, valid, programmed, pages=8):
-    b = Block(index, pages)
+    chip = NandFlash(FlashGeometry(num_blocks=index + 1, pages_per_block=pages))
+    base = index * pages
     for i in range(programmed):
-        b.program(i, i, None)
+        chip.program_page(base + i, i)
     for i in range(valid, programmed):
-        b.invalidate(i)
-    return b
+        chip.invalidate_page(base + i)
+    return chip.block(index)
 
 
 class TestGreedyPolicy:

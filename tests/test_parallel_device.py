@@ -311,3 +311,32 @@ class TestOverlapNeverChangesResults:
         for serialized_us, overlapped_us in zip(forced_lat, over_lat):
             assert overlapped_us <= serialized_us + 1e-9
             assert overlapped_us >= 0.0
+
+
+class TestStripedLazyFTLKeepsGcReserve:
+    def test_sustained_overwrites_do_not_drain_the_pool(self):
+        """Striped UBA/CBA ways open only above the GC reserve.
+
+        Opening extra ways whenever a stripe was short of its way count
+        let GC's cold-block allocations empty the free pool, and this
+        fill + uniform-overwrite workload raised ``OutOfBlocksError``
+        after about 25.9k writes.
+        """
+        import random
+
+        from repro.sim.factory import standard_setup
+        from repro.sim.runner import lazy_headline_options
+
+        flash, ftl, logical = standard_setup(
+            "LazyFTL", num_blocks=256, pages_per_block=64, page_size=512,
+            logical_fraction=0.8, channels=4,
+            **lazy_headline_options(256),
+        )
+        assert isinstance(flash, ParallelNandFlash)
+        for lpn in range(logical):
+            ftl.write(lpn)
+        rng = random.Random(1)
+        for _ in range(20_000):
+            ftl.write(rng.randrange(logical))
+        assert ftl.stats.host_writes == logical + 20_000
+        assert ftl.stats.gc_runs > 0

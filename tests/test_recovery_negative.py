@@ -130,7 +130,7 @@ class TestCrashDuringRecovery:
         # Power restored: the exact same device must now recover fully -
         # the aborted attempt left no partial state behind (recovery is
         # read-only until it returns).
-        flash._rebind_fast_paths()
+        del flash.probe_page
         recovered, _ = recover(flash, LOGICAL, ftl.config)
         for lpn, value in expected.items():
             assert recovered.read(lpn).data == value
